@@ -7,7 +7,8 @@
 //! events span window boundaries).
 
 use massf_engine::engine::lookahead_us;
-use massf_engine::{run_sequential, EmulationConfig, EmulationReport};
+use massf_engine::stepping::SteppableEmulation;
+use massf_engine::{EmulationConfig, EmulationReport};
 use massf_routing::RoutingTables;
 use massf_topology::Network;
 use massf_traffic::FlowSpec;
@@ -25,6 +26,10 @@ pub struct Scenario {
     pub flows: Vec<FlowSpec>,
     /// Run configuration (partition, engine count, cost model).
     pub cfg: EmulationConfig,
+    /// Virtual-time horizon the protocol loop runs to (`u64::MAX` runs
+    /// every event; a finite horizon stops the run part-way, as an epoch
+    /// boundary of a stepped emulation does).
+    pub horizon: u64,
 }
 
 impl Scenario {
@@ -46,6 +51,27 @@ impl Scenario {
     /// every interleaving.
     pub fn two_cross_lazy() -> Scenario {
         Self::two_cross_with("two_cross_lazy", RoutingTables::build_lazy)
+    }
+
+    /// [`two_cross`](Self::two_cross) stopped at a horizon inside the run,
+    /// the way [`SteppableEmulation::run_until`] stops at an epoch
+    /// boundary: the last window's LBTS is capped at the horizon, every
+    /// participant must leave the loop in the same round, and the partial
+    /// report must equal the stepped sequential one. Events still pending
+    /// at the horizon stay queued in their engines.
+    ///
+    /// The horizon, 800 µs, falls inside two_cross's fourth window
+    /// (`[720, 920)` uncapped), so that window's LBTS is cut to it and
+    /// engine 1's event at 870 stays pending. Engine 0 still has an event
+    /// below the horizon when engine 1 has none, so a participant that
+    /// left the loop on its own next-event time instead of the shared
+    /// `gmin` would strand the other at the barrier. Two packets have
+    /// been delivered and one is still in flight.
+    pub fn two_cross_stepped() -> Scenario {
+        Scenario {
+            horizon: 800,
+            ..Self::two_cross_with("two_cross_stepped", RoutingTables::build)
+        }
     }
 
     fn two_cross_with(name: &'static str, build: fn(&Network) -> RoutingTables) -> Scenario {
@@ -84,6 +110,7 @@ impl Scenario {
             tables,
             flows,
             cfg: EmulationConfig::new(vec![0, 0, 1, 1], 2),
+            horizon: u64::MAX,
         }
     }
 
@@ -130,6 +157,7 @@ impl Scenario {
             tables,
             flows,
             cfg: EmulationConfig::new(vec![0, 0, 1, 2, 2], 3),
+            horizon: u64::MAX,
         }
     }
 
@@ -139,6 +167,7 @@ impl Scenario {
             Scenario::two_cross(),
             Scenario::three_chain(),
             Scenario::two_cross_lazy(),
+            Scenario::two_cross_stepped(),
         ]
     }
 
@@ -153,9 +182,14 @@ impl Scenario {
     }
 
     /// The sequential-execution report every explored schedule must
-    /// reproduce bit-for-bit.
+    /// reproduce bit-for-bit: a [`SteppableEmulation`] advanced to the
+    /// horizon and finalized (for `u64::MAX`, exactly
+    /// [`massf_engine::run_sequential`]).
     pub fn reference(&self) -> EmulationReport {
-        run_sequential(&self.net, &self.tables, &self.flows, &self.cfg)
+        let mut emu =
+            SteppableEmulation::new(&self.net, &self.tables, &self.flows, self.cfg.clone());
+        emu.run_until(self.horizon);
+        emu.finish()
     }
 }
 
@@ -176,6 +210,16 @@ mod tests {
                 r.rounds
             );
         }
+    }
+
+    #[test]
+    fn stepped_horizon_falls_inside_the_run() {
+        let full = Scenario::two_cross().reference();
+        let stepped = Scenario::two_cross_stepped().reference();
+        assert!(
+            stepped.total_events() < full.total_events(),
+            "the horizon must stop the run before it drains"
+        );
     }
 
     #[test]

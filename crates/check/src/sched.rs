@@ -415,10 +415,7 @@ pub fn run_schedule(
         partition: &cfg.partition,
     };
     let lookahead = scenario.lookahead();
-    let speeds: Vec<f64> = match &cfg.engine_speeds {
-        Some(v) => v.clone(),
-        None => vec![1.0; n],
-    };
+    let horizon = scenario.horizon;
 
     let sched = Sched::new(n);
     let mut ins = Instrument::new(n);
@@ -445,7 +442,6 @@ pub fn run_schedule(
         for tid in 0..n {
             let sched = &sched;
             let shared = &shared;
-            let speeds = &speeds;
             let flows = &scenario.flows[..];
             handles.push(scope.spawn(move || {
                 QUIET.with(|q| q.set(true));
@@ -460,8 +456,16 @@ pub fn run_schedule(
                         engines[0].seed_flow(i as u32, f, shared);
                     }
                     let shim = VirtualShim { sched, tid };
-                    let out =
-                        protocol_loop(&mut engines, &shim, shared, lookahead, &cfg.cost, speeds);
+                    let mut out = ProtocolOutcome::default();
+                    protocol_loop(
+                        &mut engines,
+                        &shim,
+                        shared,
+                        lookahead,
+                        cfg,
+                        horizon,
+                        &mut out,
+                    );
                     (engines.pop().expect("one engine per thread"), out)
                 }));
                 let mut core = lock(&sched.core);
@@ -691,11 +695,12 @@ pub fn run_schedule(
                                 // Releases cycle B1 (after min-publish),
                                 // B2 (after gmin-read), B3 (after sends):
                                 // at each B1 every min is in, so the
-                                // round's LBTS is determined.
+                                // round's LBTS (capped at the horizon) is
+                                // determined — unless the loop stops.
                                 if release_count % 3 == 1 {
                                     let gmin = cur_min.iter().copied().min().unwrap_or(u64::MAX);
-                                    if gmin != u64::MAX {
-                                        lbts_floor = gmin.saturating_add(lookahead);
+                                    if gmin < horizon {
+                                        lbts_floor = gmin.saturating_add(lookahead).min(horizon);
                                     }
                                 }
                             }
@@ -788,13 +793,7 @@ pub fn run_schedule(
             },
         };
     }
-    let report = finalize(
-        engines,
-        cfg,
-        &scenario.tables,
-        outcomes[0].wall.clone(),
-        outcomes[0].rounds,
-    );
+    let report = finalize(engines, cfg, &scenario.tables, outcomes.swap_remove(0));
     if &report != reference {
         return RunResult {
             decisions,

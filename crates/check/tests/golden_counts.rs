@@ -65,6 +65,21 @@ fn schedule_counts_are_pinned() {
     );
     out.push_str(&line("three_chain", "bounded=1500", r.stats));
 
+    // The horizon miniature: the same two engines stopped mid-run, so the
+    // capped last window and the collective loop exit are explored too.
+    let stepped = Scenario::two_cross_stepped();
+    let r = explore(&stepped, ExploreOpts::default());
+    assert!(
+        r.violation.is_none(),
+        "two_cross_stepped violated: {:?}",
+        r.violation
+    );
+    assert!(
+        r.stats.exhaustive,
+        "two_cross_stepped must be fully explorable"
+    );
+    out.push_str(&line("two_cross_stepped", "exhaustive", r.stats));
+
     assert_golden(&out, "tests/golden/counts.txt");
 }
 

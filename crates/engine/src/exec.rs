@@ -9,7 +9,8 @@ use crate::event::Event;
 use crate::netflow::merge_dumps;
 use crate::report::EmulationReport;
 use crate::sched::SchedulerKind;
-use crate::shim::{SeqShim, SlotArray, StdShim, SyncShim};
+use crate::shim::{SlotArray, StdShim, SyncShim};
+use crate::stepping::SteppableEmulation;
 use massf_routing::RoutingTables;
 use massf_topology::Network;
 use massf_traffic::FlowSpec;
@@ -87,7 +88,7 @@ impl EmulationConfig {
     }
 }
 
-fn validate(net: &Network, cfg: &EmulationConfig) {
+pub(crate) fn validate(net: &Network, cfg: &EmulationConfig) {
     assert_eq!(
         cfg.partition.len(),
         net.node_count(),
@@ -105,7 +106,9 @@ fn validate(net: &Network, cfg: &EmulationConfig) {
 /// Every participant of a parallel run computes identical values (each
 /// reads the same published window statistics), which is asserted by the
 /// model checker and exploited by [`finalize`] keeping only one copy.
-#[derive(Debug, Clone, PartialEq)]
+/// Resumable: [`protocol_loop`] continues from whatever it holds, which is
+/// how [`crate::stepping::SteppableEmulation`] advances horizon by horizon.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProtocolOutcome {
     /// Modeled wall-clock accumulation over all windows.
     pub wall: WallClock,
@@ -120,8 +123,14 @@ pub struct ProtocolOutcome {
 ///
 /// `engines` are the engines owned by this participant: all of them in
 /// the sequential executor, exactly one per OS thread in the parallel
-/// executor and in the `massf-check` model checker. `speeds` has one
-/// entry per engine in the whole run (its length is the engine count).
+/// executor and in the `massf-check` model checker. `cfg` supplies the
+/// engine count, the cost model and the engine speeds.
+///
+/// The loop runs until every pending event time is `>= until_us` (all
+/// events, for `u64::MAX`), capping each window's LBTS at that horizon,
+/// and accumulates into `out`, so a later call resumes where this one
+/// stopped. Every participant reads the same `gmin`, so the stop is
+/// collective.
 ///
 /// Each round runs three phases:
 ///
@@ -143,13 +152,12 @@ pub fn protocol_loop<S: SyncShim>(
     shim: &S,
     shared: &Shared<'_>,
     lookahead: u64,
-    cost: &CostModel,
-    speeds: &[f64],
-) -> ProtocolOutcome {
-    let nengines = speeds.len();
-    let mut wall = WallClock::default();
-    let mut rounds = 0u64;
-    let mut virtual_now = 0u64;
+    cfg: &EmulationConfig,
+    until_us: u64,
+    out: &mut ProtocolOutcome,
+) {
+    let nengines = cfg.nengines;
+    let cost = &cfg.cost;
     let mut last_lbts = 0u64;
     // Reused across rounds — no per-window outbox allocation.
     let mut out_buf: Vec<RemoteEvent> = Vec::new();
@@ -169,17 +177,17 @@ pub fn protocol_loop<S: SyncShim>(
             gmin = gmin.min(shim.read(SlotArray::Mins, j));
         }
         shim.barrier_wait(); // everyone has read before anyone rewrites
-        if gmin == u64::MAX {
+        if gmin >= until_us {
             break;
         }
         debug_assert!(
-            rounds == 0 || gmin >= last_lbts,
+            gmin >= last_lbts,
             "LBTS regressed: gmin {gmin} fell below the closed window at {last_lbts}"
         );
-        let lbts = gmin.saturating_add(lookahead);
+        let lbts = gmin.saturating_add(lookahead).min(until_us);
         last_lbts = lbts;
-        if rounds == 0 {
-            virtual_now = gmin;
+        if out.rounds == 0 {
+            out.virtual_now = gmin;
         }
 
         // Phase 2: process the window, ship remote events, publish stats.
@@ -226,7 +234,7 @@ pub fn protocol_loop<S: SyncShim>(
         for j in 0..nengines {
             let ev = shim.read(SlotArray::WinEvents, j);
             let rm = shim.read(SlotArray::WinRemote, j);
-            max_busy = max_busy.max(cost.engine_busy_us(ev, rm, speeds[j]));
+            max_busy = max_busy.max(cost.engine_busy_us(ev, rm, cfg.speed(j)));
         }
         // Virtual progress this round: the new global frontier, capped by
         // lbts and never behind gmin.
@@ -235,49 +243,27 @@ pub fn protocol_loop<S: SyncShim>(
             progress = progress.min(shim.read(SlotArray::WinProgress, j));
         }
         let progress = progress.max(gmin);
-        let span = progress.saturating_sub(virtual_now);
-        virtual_now = virtual_now.max(progress);
-        wall.add_busy_window(cost, max_busy, span);
-        rounds += 1;
-    }
-
-    ProtocolOutcome {
-        wall,
-        rounds,
-        virtual_now,
+        let span = progress.saturating_sub(out.virtual_now);
+        out.virtual_now = out.virtual_now.max(progress);
+        out.wall.add_busy_window(cost, max_busy, span);
+        out.rounds += 1;
     }
 }
 
 /// Runs the emulation in a single thread, simulating the synchronous
-/// rounds. Deterministic; used by tests, sweeps, and benches. Runs the
-/// same [`protocol_loop`] as the parallel executor, owning every engine
-/// and synchronizing through the trivial single-threaded shim.
+/// rounds. Deterministic; used by tests, sweeps, and benches. This is a
+/// [`SteppableEmulation`] run to completion without remapping: the same
+/// [`protocol_loop`] as the parallel executor, owning every engine and
+/// synchronizing through the trivial single-threaded shim.
 pub fn run_sequential(
     net: &Network,
     tables: &RoutingTables,
     flows: &[FlowSpec],
     cfg: &EmulationConfig,
 ) -> EmulationReport {
-    validate(net, cfg);
-    let shared = Shared {
-        net,
-        tables,
-        flows,
-        partition: &cfg.partition,
-    };
-    let lookahead = lookahead_us(net, &cfg.partition);
-
-    let mut engines: Vec<Engine> = (0..cfg.nengines as u32)
-        .map(|id| Engine::new(id, cfg.counter_window_us, cfg.netflow, cfg.scheduler))
-        .collect();
-    for (i, f) in flows.iter().enumerate() {
-        engines[cfg.partition[f.src as usize] as usize].seed_flow(i as u32, f, &shared);
-    }
-
-    let speeds: Vec<f64> = (0..cfg.nengines).map(|e| cfg.speed(e)).collect();
-    let shim = SeqShim::new(cfg.nengines);
-    let out = protocol_loop(&mut engines, &shim, &shared, lookahead, &cfg.cost, &speeds);
-    finalize(engines, cfg, tables, out.wall, out.rounds)
+    let mut emu = SteppableEmulation::new(net, tables, flows, cfg.clone());
+    emu.run_to_completion();
+    emu.finish()
 }
 
 /// Runs the emulation with one OS thread per engine, exchanging events over
@@ -310,7 +296,6 @@ pub fn run_parallel(
         }
     }
 
-    let speeds_vec: Vec<f64> = (0..n).map(|e| cfg.speed(e)).collect();
     let mins: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
     let win_events: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
     let win_remote: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
@@ -328,8 +313,6 @@ pub fn run_parallel(
             let win_progress = &win_progress;
             let barrier = &barrier;
             let partition = &cfg.partition;
-            let cost = cfg.cost;
-            let speeds = &speeds_vec;
             let handle = scope.spawn(move || {
                 let shared = Shared {
                     net,
@@ -353,7 +336,16 @@ pub fn run_parallel(
                     my_senders,
                     my_receivers,
                 );
-                let out = protocol_loop(&mut engines, &shim, &shared, lookahead, &cost, speeds);
+                let mut out = ProtocolOutcome::default();
+                protocol_loop(
+                    &mut engines,
+                    &shim,
+                    &shared,
+                    lookahead,
+                    cfg,
+                    u64::MAX,
+                    &mut out,
+                );
                 (engines.pop().expect("one engine per thread"), out)
             });
             handles.push(handle);
@@ -364,29 +356,20 @@ pub fn run_parallel(
             .collect()
     });
 
-    let mut engines = Vec::with_capacity(n);
-    let mut wall = WallClock::default();
-    let mut rounds = 0;
-    for (i, (e, out)) in results.into_iter().enumerate() {
-        if i == 0 {
-            wall = out.wall;
-            rounds = out.rounds;
-        }
-        engines.push(e);
-    }
-    finalize(engines, cfg, tables, wall, rounds)
+    let (engines, mut outs): (Vec<Engine>, Vec<ProtocolOutcome>) = results.into_iter().unzip();
+    finalize(engines, cfg, tables, outs.swap_remove(0))
 }
 
-/// Merges per-engine state into the final report. Used by every executor
-/// — sequential, parallel, steppable, and the `massf-check` model checker
-/// — so all paths report identically. `tables` is sampled for the lazy
-/// per-engine residency block (`None` for the eager representations).
+/// Merges per-engine state and the protocol outcome into the final report.
+/// Used by every executor — sequential, parallel, steppable, and the
+/// `massf-check` model checker — so all paths report identically. `tables`
+/// is sampled for the lazy per-engine residency block (`None` for the
+/// eager representations).
 pub fn finalize(
     engines: Vec<Engine>,
     cfg: &EmulationConfig,
     tables: &RoutingTables,
-    wall: WallClock,
-    rounds: u64,
+    out: ProtocolOutcome,
 ) -> EmulationReport {
     let nengines = cfg.nengines;
     let mut engine_events = Vec::with_capacity(nengines);
@@ -454,7 +437,7 @@ pub fn finalize(
         dropped,
         latency_sum_us,
         remote_messages,
-        rounds,
+        rounds: out.rounds,
         virtual_end_us: last_event_us,
         counter_window_us: cfg.counter_window_us,
         window_series: pad(raw_windows),
@@ -462,7 +445,7 @@ pub fn finalize(
         recv_series: pad(raw_recvs),
         netflow: merge_dumps(dumps),
         routing_slices: tables.slice_residency(&cfg.partition, nengines),
-        wall,
+        wall: out.wall,
     }
 }
 

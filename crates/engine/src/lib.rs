@@ -27,6 +27,9 @@
 //! Execution is available in two modes producing bit-identical results:
 //! [`exec::run_sequential`] (rounds simulated in one thread) and
 //! [`exec::run_parallel`] (one thread per engine over `mpsc` channels).
+//! Both run the one window loop, [`exec::protocol_loop`];
+//! [`stepping::SteppableEmulation`] runs it up to caller-chosen horizons
+//! and remaps between them.
 //!
 //! ## Event scheduling
 //!

@@ -8,9 +8,11 @@
 //!   `SeqCst` atomics, and an `mpsc` channel mesh. Every method is a thin
 //!   `#[inline]` wrapper, so monomorphization compiles the generic loop
 //!   down to the exact code the executor ran before the shim existed.
-//! * `SeqShim` (crate-private) — the single-threaded substrate used by
-//!   [`crate::exec::run_sequential`]: barriers are no-ops (one thread owns
-//!   every engine), slots are plain cells, channels are `VecDeque`s.
+//! * `SeqShim` (crate-private) — the single-threaded substrate owned by
+//!   [`crate::stepping::SteppableEmulation`] (and so by
+//!   [`crate::exec::run_sequential`]): barriers are no-ops (one thread
+//!   owns every engine), slots are plain cells, and each engine's inbox is
+//!   one queue.
 //! * `massf-check`'s virtual shim — cooperative primitives driven by a
 //!   model-checking scheduler that exhaustively enumerates interleavings
 //!   of these exact shim operations.
@@ -23,7 +25,6 @@
 
 use crate::event::Event;
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Barrier;
@@ -162,14 +163,14 @@ impl SyncShim for StdShim<'_> {
 }
 
 /// Single-threaded shim for the sequential executor: one participant owns
-/// every engine, so barriers vanish and the channel mesh is a vector of
-/// queues. Drain order (sender-id major, FIFO within a sender) matches
-/// [`StdShim`] exactly, which is one half of the bit-identical-reports
-/// guarantee.
+/// every engine, so barriers vanish and each engine's inbox is a single
+/// queue. The participant sends in ascending engine id, so the queue
+/// already holds sender-id-major, FIFO-within-a-sender order — exactly
+/// [`StdShim`]'s drain order, which is one half of the
+/// bit-identical-reports guarantee.
 pub(crate) struct SeqShim {
-    n: usize,
     slots: [Vec<Cell<u64>>; 4],
-    mesh: Vec<RefCell<VecDeque<Event>>>,
+    inbox: Vec<RefCell<Vec<Event>>>,
 }
 
 impl SeqShim {
@@ -177,9 +178,8 @@ impl SeqShim {
     pub(crate) fn new(n: usize) -> Self {
         let mk = || (0..n).map(|_| Cell::new(0)).collect();
         Self {
-            n,
             slots: [mk(), mk(), mk(), mk()],
-            mesh: (0..n * n).map(|_| RefCell::new(VecDeque::new())).collect(),
+            inbox: (0..n).map(|_| RefCell::new(Vec::new())).collect(),
         }
     }
 }
@@ -199,17 +199,14 @@ impl SyncShim for SeqShim {
     }
 
     #[inline]
-    fn send(&self, from: usize, to: usize, event: Event) {
-        self.mesh[from * self.n + to].borrow_mut().push_back(event);
+    fn send(&self, _from: usize, to: usize, event: Event) {
+        self.inbox[to].borrow_mut().push(event);
     }
 
     #[inline]
     fn recv_all(&self, to: usize, deliver: &mut dyn FnMut(Event)) {
-        for from in 0..self.n {
-            let mut q = self.mesh[from * self.n + to].borrow_mut();
-            while let Some(event) = q.pop_front() {
-                deliver(event);
-            }
+        for event in self.inbox[to].borrow_mut().drain(..) {
+            deliver(event);
         }
     }
 }

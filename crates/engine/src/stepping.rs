@@ -3,19 +3,20 @@
 //! the emulation is the only solution. Such dynamic remapping is a major
 //! challenge for distributed emulators like MaSSF."
 //!
-//! [`SteppableEmulation`] runs the same conservative windows as
-//! [`crate::exec::run_sequential`], but control returns to the caller at
-//! any virtual-time boundary. Between steps the caller may inspect live
+//! [`SteppableEmulation`] drives [`crate::exec::protocol_loop`] with a
+//! horizon, so control returns to the caller at any virtual-time
+//! boundary ([`crate::exec::run_sequential`] is one such run, stepped
+//! straight to completion). Between steps the caller may inspect live
 //! NetFlow dumps and install a new node→engine assignment; pending events
 //! and link-occupancy state migrate with their nodes, and a configurable
 //! wall-clock charge models the checkpoint/transfer cost of moving virtual
 //! nodes between physical engines.
 
-use crate::cost::WallClock;
-use crate::engine::{lookahead_us, Engine, RemoteEvent, Shared};
-use crate::exec::EmulationConfig;
+use crate::engine::{lookahead_us, Engine, Shared};
+use crate::exec::{protocol_loop, validate, EmulationConfig, ProtocolOutcome};
 use crate::netflow::{merge_dumps, FlowRecord};
 use crate::report::EmulationReport;
+use crate::shim::SeqShim;
 use massf_routing::RoutingTables;
 use massf_topology::Network;
 use massf_traffic::FlowSpec;
@@ -50,10 +51,9 @@ pub struct SteppableEmulation<'a> {
     cfg: EmulationConfig,
     engines: Vec<Engine>,
     lookahead: u64,
-    wall: WallClock,
-    rounds: u64,
-    virtual_now: u64,
-    started: bool,
+    shim: SeqShim,
+    /// Wall clock, rounds and virtual time accumulated so far.
+    out: ProtocolOutcome,
     /// Cumulative NetFlow state at the last epoch-slice call.
     epoch_mark: Vec<FlowRecord>,
     /// Total virtual nodes migrated across all remaps.
@@ -70,12 +70,7 @@ impl<'a> SteppableEmulation<'a> {
         flows: &'a [FlowSpec],
         cfg: EmulationConfig,
     ) -> Self {
-        assert_eq!(
-            cfg.partition.len(),
-            net.node_count(),
-            "partition length mismatch"
-        );
-        assert!(cfg.partition.iter().all(|&p| (p as usize) < cfg.nengines));
+        validate(net, &cfg);
         let lookahead = lookahead_us(net, &cfg.partition);
         let mut engines: Vec<Engine> = (0..cfg.nengines as u32)
             .map(|id| Engine::new(id, cfg.counter_window_us, cfg.netflow, cfg.scheduler))
@@ -95,13 +90,11 @@ impl<'a> SteppableEmulation<'a> {
             net,
             tables,
             flows,
+            shim: SeqShim::new(cfg.nengines),
             cfg,
             engines,
             lookahead,
-            wall: WallClock::default(),
-            rounds: 0,
-            virtual_now: 0,
-            started: false,
+            out: ProtocolOutcome::default(),
             epoch_mark: Vec::new(),
             migrated_nodes: 0,
             remaps: 0,
@@ -127,60 +120,23 @@ impl<'a> SteppableEmulation<'a> {
     /// `>= until_us` (or until completion). Returns the number of windows
     /// executed.
     pub fn run_until(&mut self, until_us: u64) -> u64 {
-        let mut windows = 0u64;
-        // Reused across every window of this call.
-        let mut all_out: Vec<RemoteEvent> = Vec::new();
-        while let Some(gmin) = self.next_event_time() {
-            if gmin >= until_us {
-                break;
-            }
-            let lbts = gmin.saturating_add(self.lookahead).min(until_us);
-            debug_assert!(lbts > gmin);
-            if !self.started {
-                self.virtual_now = gmin;
-                self.started = true;
-            }
-
-            let shared = Shared {
-                net: self.net,
-                tables: self.tables,
-                flows: self.flows,
-                partition: &self.cfg.partition,
-            };
-            let mut max_busy = 0.0f64;
-            let mut progress = lbts;
-            for (idx, e) in self.engines.iter_mut().enumerate() {
-                let sent_before = e.remote_sent();
-                let n = e.process_window(lbts, &shared);
-                if n == 0 {
-                    e.counters.record_stall(gmin);
-                }
-                let sent = e.remote_sent() - sent_before;
-                let speed = self
-                    .cfg
-                    .engine_speeds
-                    .as_ref()
-                    .map(|v| v[idx])
-                    .unwrap_or(1.0);
-                max_busy = max_busy.max(self.cfg.cost.engine_busy_us(n, sent, speed));
-                let frontier = e.next_time().unwrap_or(e.counters.last_event_us);
-                progress = progress.min(frontier.min(lbts));
-                e.drain_outbox(&mut all_out);
-            }
-            let progress = progress.max(gmin);
-            let span = progress.saturating_sub(self.virtual_now);
-            self.virtual_now = self.virtual_now.max(progress);
-            self.wall.add_busy_window(&self.cfg.cost, max_busy, span);
-            self.rounds += 1;
-            windows += 1;
-
-            for RemoteEvent { to_engine, event } in all_out.drain(..) {
-                let dest = &mut self.engines[to_engine as usize];
-                dest.counters.record_remote_recv(event.time_us);
-                dest.enqueue(event);
-            }
-        }
-        windows
+        let before = self.out.rounds;
+        let shared = Shared {
+            net: self.net,
+            tables: self.tables,
+            flows: self.flows,
+            partition: &self.cfg.partition,
+        };
+        protocol_loop(
+            &mut self.engines,
+            &self.shim,
+            &shared,
+            self.lookahead,
+            &self.cfg,
+            until_us,
+            &mut self.out,
+        );
+        self.out.rounds - before
     }
 
     /// Runs to completion.
@@ -245,7 +201,7 @@ impl<'a> SteppableEmulation<'a> {
 
         // The remap stalls every engine: checkpoint, transfer, restore.
         let stall = cost.fixed_us + moved as f64 * cost.per_node_us;
-        self.wall.add_busy_window(&self.cfg.cost, stall, 0);
+        self.out.wall.add_busy_window(&self.cfg.cost, stall, 0);
         self.migrated_nodes += moved;
         self.remaps += 1;
         moved
@@ -257,7 +213,7 @@ impl<'a> SteppableEmulation<'a> {
     /// are charged to their destination engine — the migration ownership
     /// rule (DESIGN.md §16) falls out of sampling the current assignment.
     pub fn finish(self) -> EmulationReport {
-        crate::exec::finalize(self.engines, &self.cfg, self.tables, self.wall, self.rounds)
+        crate::exec::finalize(self.engines, &self.cfg, self.tables, self.out)
     }
 }
 

@@ -1,15 +1,17 @@
 //! Incremental (diffusive) repartitioning — local rebalancing at epoch
 //! boundaries without a global partitioner pass.
 //!
-//! [`crate::dynamic`] answers the paper's §6 call for dynamic remapping by
-//! repeating the *global* PROFILE round every epoch: re-weight the whole
-//! graph, re-run the multilevel partitioner, migrate whatever changed.
-//! That recovers balance but moves many nodes (the partitioner has no
-//! loyalty to the incumbent assignment) and re-runs METIS-scale work
-//! mid-emulation. This module implements the local alternative from the
-//! ROADMAP's online-repartitioning item: **diffusive vertex migration**
-//! (Kurve et al.) with migrations charged against the imbalance they save
-//! (Räcke/Schmid/Zabrodin) — see PAPERS.md.
+//! [`RebalanceMode::Global`] answers the paper's §6 call for dynamic
+//! remapping by repeating the *global* PROFILE round every epoch:
+//! re-weight the whole graph, re-run the multilevel partitioner, migrate
+//! whatever changed. That recovers balance but moves many nodes (the
+//! partitioner has no loyalty to the incumbent assignment) and re-runs
+//! METIS-scale work mid-emulation. [`RebalanceMode::Incremental`] is the
+//! local alternative from the ROADMAP's online-repartitioning item:
+//! **diffusive vertex migration** (Kurve et al.) with migrations charged
+//! against the imbalance they save (Räcke/Schmid/Zabrodin) — see
+//! PAPERS.md. [`run_online`] is the one epoch loop both policies (and
+//! [`RebalanceMode::Off`]) plug into.
 //!
 //! ## The algorithm (DESIGN.md §15)
 //!
@@ -100,7 +102,9 @@ use massf_traffic::{FlowSpec, PredictedFlow};
 pub enum RebalanceMode {
     /// Measure drift at every boundary but never move a node.
     Off,
-    /// Full PROFILE remap per boundary ([`crate::dynamic`]'s strategy).
+    /// Full PROFILE remap per boundary from the last two epochs' NetFlow
+    /// slices, with no loyalty to the incumbent partition. With a
+    /// `drift_threshold` of 0 it remaps at every boundary.
     Global,
     /// Local diffusive boundary-node migration ([`diffusive_sweep`]).
     Incremental,
@@ -148,7 +152,8 @@ pub struct IncrementalConfig {
     /// threshold, the boundary skips rebalancing entirely.
     pub drift_threshold: f64,
     /// Global mode only: skip a remap whose new partition moves fewer
-    /// nodes than this (mirrors [`crate::dynamic::DynamicConfig`]).
+    /// nodes than this — migrating two nodes to fix 1 % imbalance is
+    /// never worth a stall.
     pub min_moved_nodes: usize,
 }
 
@@ -344,8 +349,9 @@ pub fn run_online(
     let mut current = initial;
     let mut epoch_stats: Vec<EpochStats> = Vec::new();
     let mut prev_engine_loads: Option<Vec<u64>> = None;
-    // Epoch slices kept for the global mode's two-epoch lookback (the
-    // same recency filter crate::dynamic uses).
+    // Epoch slices kept for the global mode's two-epoch lookback: the
+    // last two epochs predict the next stage far better than the whole
+    // history, which over-weights early bursts that will never recur.
     let mut slice_history: Vec<Vec<FlowRecord>> = Vec::new();
     for epoch in 1..=cfg.epochs as u64 {
         let now = epoch * epoch_len;
@@ -511,15 +517,93 @@ mod tests {
         gridnpb::flows(&cfg, &gridnpb::paper_suite(&cfg), &placement)
     }
 
+    /// Every mode with the config these tests drive it by. Global runs with
+    /// a drift threshold of 0, so it remaps at every boundary — the
+    /// per-epoch PROFILE remap `ablate_dynamic` measures.
+    fn modes() -> [(RebalanceMode, IncrementalConfig); 3] {
+        [
+            (RebalanceMode::Off, IncrementalConfig::default()),
+            (
+                RebalanceMode::Global,
+                IncrementalConfig {
+                    drift_threshold: 0.0,
+                    ..Default::default()
+                },
+            ),
+            (RebalanceMode::Incremental, IncrementalConfig::default()),
+        ]
+    }
+
     #[test]
-    fn incremental_run_conserves_packets() {
+    fn every_mode_conserves_packets() {
         let s = study();
         let flows = phase_shifting_flows(&s);
         let injected: u64 = flows.iter().map(|f| f.packets).sum();
-        let out = run_incremental(&s, &flows, &[], &IncrementalConfig::default());
-        assert_eq!(out.report.delivered, injected);
-        assert_eq!(out.report.dropped, 0);
-        assert_eq!(out.epoch_stats.len(), 4);
+        for (mode, cfg) in modes() {
+            let out = run_online(&s, &flows, &[], &cfg, mode);
+            assert_eq!(out.report.delivered, injected, "{mode:?}");
+            assert_eq!(out.report.dropped, 0, "{mode:?}");
+            assert_eq!(out.epoch_stats.len(), 4, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn one_epoch_is_static_top_in_every_mode() {
+        let s = study();
+        let flows = phase_shifting_flows(&s);
+        let top = s.map(crate::Approach::Top, &[], &flows);
+        let static_report = s.evaluate(&top, &flows, CostModel::live_application());
+        for (mode, cfg) in modes() {
+            let cfg = IncrementalConfig { epochs: 1, ..cfg };
+            let out = run_online(&s, &flows, &[], &cfg, mode);
+            assert_eq!(out.remaps_applied, 0, "{mode:?}");
+            assert_eq!(out.epoch_partitions.len(), 1, "{mode:?}");
+            assert_eq!(
+                out.report.total_events(),
+                static_report.total_events(),
+                "{mode:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn global_remap_improves_imbalance_over_static_top() {
+        let s = study();
+        let flows = phase_shifting_flows(&s);
+        let top = s.map(crate::Approach::Top, &[], &flows);
+        let static_report = s.evaluate(&top, &flows, CostModel::live_application());
+        let (mode, cfg) = modes()[1].clone();
+        let out = run_online(&s, &flows, &[], &cfg, mode);
+        let static_imb = load_imbalance(&static_report.engine_events);
+        let dyn_imb = load_imbalance(&out.report.engine_events);
+        assert!(
+            dyn_imb < static_imb,
+            "global {dyn_imb:.3} should beat static TOP {static_imb:.3}"
+        );
+        assert!(out.remaps_applied >= 1, "expected at least one remap");
+    }
+
+    #[test]
+    fn migration_costs_appear_in_wall_clock() {
+        let s = study();
+        let flows = phase_shifting_flows(&s);
+        // Global decisions ignore the migration price (the incremental
+        // sweep charges it against the gain), so both runs remap alike.
+        let (mode, cfg) = modes()[1].clone();
+        let with_cost = |fixed_us, per_node_us| IncrementalConfig {
+            migration: MigrationCost {
+                fixed_us,
+                per_node_us,
+            },
+            ..cfg.clone()
+        };
+        let cheap = run_online(&s, &flows, &[], &with_cost(0.0, 0.0), mode);
+        let dear = run_online(&s, &flows, &[], &with_cost(5e6, 1e5), mode);
+        // Identical emulation, different modeled cost.
+        assert_eq!(cheap.report.total_events(), dear.report.total_events());
+        assert_eq!(cheap.migrated_nodes, dear.migrated_nodes);
+        assert!(cheap.remaps_applied > 0, "expected at least one remap");
+        assert!(dear.report.wall.total_us > cheap.report.wall.total_us);
     }
 
     #[test]
@@ -671,20 +755,19 @@ mod tests {
     fn deterministic_across_runs() {
         let s = study();
         let flows = phase_shifting_flows(&s);
-        let a = run_incremental(&s, &flows, &[], &IncrementalConfig::default());
-        let b = run_incremental(&s, &flows, &[], &IncrementalConfig::default());
-        assert_eq!(a.report.engine_events, b.report.engine_events);
-        assert_eq!(a.epoch_stats, b.epoch_stats);
-        assert_eq!(a.epoch_partitions, b.epoch_partitions);
+        for (mode, cfg) in modes() {
+            let a = run_online(&s, &flows, &[], &cfg, mode);
+            let b = run_online(&s, &flows, &[], &cfg, mode);
+            assert_eq!(a.report, b.report, "{mode:?}");
+            assert_eq!(a.epoch_stats, b.epoch_stats, "{mode:?}");
+            assert_eq!(a.epoch_partitions, b.epoch_partitions, "{mode:?}");
+            assert_eq!(a.migrated_nodes, b.migrated_nodes, "{mode:?}");
+        }
     }
 
     #[test]
     fn mode_labels_round_trip() {
-        for m in [
-            RebalanceMode::Off,
-            RebalanceMode::Global,
-            RebalanceMode::Incremental,
-        ] {
+        for (m, _) in modes() {
             assert_eq!(RebalanceMode::parse(m.label()), Some(m));
         }
         assert_eq!(RebalanceMode::parse("metis"), None);

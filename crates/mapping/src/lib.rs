@@ -38,7 +38,6 @@
 // iterator rewrites clippy suggests are less clear there.
 #![allow(clippy::needless_range_loop)]
 
-pub mod dynamic;
 pub mod incremental;
 pub mod pipeline;
 pub mod place;
@@ -47,7 +46,6 @@ pub mod segments;
 pub mod top;
 pub mod weights;
 
-pub use dynamic::{run_dynamic, DynamicConfig, DynamicOutcome};
 pub use incremental::{
     diffusive_sweep, run_incremental, run_online, EpochStats, IncrementalConfig,
     IncrementalOutcome, RebalanceMode,

@@ -6,7 +6,7 @@
 //! cargo run --release --example dynamic_remap
 //! ```
 
-use massf_core::mapping::dynamic::{run_dynamic, DynamicConfig};
+use massf_core::mapping::run_online;
 use massf_core::prelude::*;
 
 fn main() {
@@ -24,12 +24,14 @@ fn main() {
         .study
         .evaluate(&static_p, &built.flows, CostModel::live_application());
 
-    // Dynamic: repartition from live NetFlow at each epoch boundary.
-    let cfg = DynamicConfig {
+    // Dynamic: a global PROFILE remap from live NetFlow at each epoch
+    // boundary (a drift threshold of 0 never skips a boundary as quiet).
+    let cfg = IncrementalConfig {
         epochs: 4,
+        drift_threshold: 0.0,
         ..Default::default()
     };
-    let out = run_dynamic(&built.study, &built.flows, &cfg);
+    let out = run_online(&built.study, &built.flows, &[], &cfg, RebalanceMode::Global);
 
     println!(
         "static PROFILE : imbalance {:.3}, time {:.1}s",

@@ -1350,6 +1350,8 @@ mod tests {
 
     /// Minimal self-cleaning temp-file helper (std-only).
     mod tempfile_path {
+        use std::sync::atomic::{AtomicU64, Ordering};
+
         pub struct TempPath(pub std::path::PathBuf);
         impl Drop for TempPath {
             fn drop(&mut self) {
@@ -1361,9 +1363,14 @@ mod tests {
                 self.0.to_str().expect("utf8 path")
             }
         }
+        /// Writes `content` to a fresh temp file ending in `name`. A
+        /// process-wide counter makes every path unique, so tests running
+        /// in parallel never share (and delete) each other's files.
         pub fn write(name: &str, content: &str) -> TempPath {
+            static NEXT: AtomicU64 = AtomicU64::new(0);
+            let seq = NEXT.fetch_add(1, Ordering::Relaxed);
             let mut p = std::env::temp_dir();
-            p.push(format!("{}-{}", std::process::id(), name));
+            p.push(format!("{}-{seq}-{name}", std::process::id()));
             std::fs::write(&p, content).expect("write temp file");
             TempPath(p)
         }

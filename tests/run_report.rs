@@ -9,6 +9,7 @@
 //! byte for byte across runs *and* across `--threads` settings.
 
 use massf_repro::cli;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn args(list: &[&str]) -> Vec<String> {
     list.iter().map(|s| s.to_string()).collect()
@@ -17,9 +18,13 @@ fn args(list: &[&str]) -> Vec<String> {
 /// Runs the campus CBR scenario with `--report` (plus `extra` CLI flags)
 /// and returns the JSON text.
 fn campus_report_json_with(threads: &str, extra: &[&str]) -> String {
+    // Tests run in parallel and may ask for the same report at once: a
+    // process-wide counter gives every call its own file.
+    static NEXT: AtomicU64 = AtomicU64::new(0);
     let path = std::env::temp_dir().join(format!(
-        "massf_run_report_{}_t{threads}_{}.json",
+        "massf_run_report_{}_{}_t{threads}_{}.json",
         std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed),
         extra.join("_").replace("--", "")
     ));
     let path_str = path.to_str().unwrap();
