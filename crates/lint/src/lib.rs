@@ -50,36 +50,15 @@ pub mod render;
 
 pub use artifact::{lint_artifacts, lint_trace, ArtifactInput};
 
+use massf_metrics::report::{count_phrase, Finding};
 use massf_topology::{Network, NodeId};
 use massf_traffic::spec::TrafficKind;
 use massf_traffic::{FlowSpec, PredictedFlow};
 use std::collections::BTreeMap;
 
-/// How serious a diagnostic is.
-///
-/// Ordered `Note < Warn < Error` so `max()` over a report gives the
-/// overall outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Severity {
-    /// Informational; never fails a preflight.
-    Note,
-    /// Suspicious input that degrades partition quality; fails only under
-    /// `--deny-warnings`.
-    Warn,
-    /// Malformed or degenerate input; the pipeline refuses to proceed.
-    Error,
-}
-
-impl Severity {
-    /// Lower-case label used by both renderers (`error`, `warning`, `note`).
-    pub fn label(self) -> &'static str {
-        match self {
-            Severity::Note => "note",
-            Severity::Warn => "warning",
-            Severity::Error => "error",
-        }
-    }
-}
+/// How serious a diagnostic is: the one severity model both lint layers
+/// share (`massf_srclint::Severity` is the same type).
+pub use massf_metrics::report::Severity;
 
 /// Stable diagnostic codes, one per pass. Codes are append-only: a code is
 /// never renumbered or reused once shipped.
@@ -352,6 +331,21 @@ pub struct Diag {
     pub message: String,
 }
 
+impl Finding for Diag {
+    fn severity(&self) -> Severity {
+        self.severity
+    }
+    fn code(&self) -> &'static str {
+        self.code.as_str()
+    }
+    fn location(&self) -> String {
+        self.location.render()
+    }
+    fn message(&self) -> &str {
+        &self.message
+    }
+}
+
 /// Per-code cap on emitted diagnostics; further findings of the same code
 /// are counted but not stored, keeping reports bounded on pathological
 /// inputs (e.g. a trace with thousands of foreign endpoints).
@@ -423,13 +417,15 @@ impl Diagnostics {
         self.diags.iter().any(|d| d.severity == Severity::Error)
     }
 
-    /// Promotes every Warn to Error (the `--deny-warnings` contract).
+    /// Promotes every Warn to Error (the `--deny-warnings` contract) and
+    /// re-sorts, so the report stays finished.
     pub fn deny_warnings(&mut self) {
         for d in &mut self.diags {
             if d.severity == Severity::Warn {
                 d.severity = Severity::Error;
             }
         }
+        self.finish();
     }
 
     /// Merges another report into this one: findings concatenate (subject
@@ -468,13 +464,12 @@ impl Diagnostics {
 
     /// One-line outcome summary (shared tail of the human report).
     pub fn summary_line(&self) -> String {
-        format!(
-            "check: {} error(s), {} warning(s), {} note(s) — {} passes run",
+        let counts = count_phrase(
             self.count(Severity::Error),
             self.count(Severity::Warn),
             self.count(Severity::Note),
-            self.passes_run
-        )
+        );
+        format!("check: {counts} — {} passes run", self.passes_run)
     }
 }
 
@@ -661,6 +656,30 @@ mod tests {
         d.deny_warnings();
         assert!(d.has_errors());
         assert_eq!(d.count(Severity::Note), 1, "notes stay notes");
+    }
+
+    #[test]
+    fn deny_warnings_leaves_a_finished_report() {
+        let mut d = Diagnostics::new();
+        d.push(Code::Mc005, Severity::Error, Location::Flow(10), "b".into());
+        d.push(Code::Mc005, Severity::Error, Location::Flow(9), "z".into());
+        d.push(Code::Mc003, Severity::Warn, Location::Flow(1), "y".into());
+        d.push(Code::Mc003, Severity::Warn, Location::Flow(1), "x".into());
+        d.push(Code::Mc001, Severity::Error, Location::Network, "e".into());
+        d.finish();
+        d.deny_warnings();
+        let order: Vec<String> = d
+            .iter()
+            .map(|x| format!("{} {}: {}", x.code.as_str(), x.location.render(), x.message))
+            .collect();
+        let expect = [
+            "MC001 network: e",
+            "MC003 flow 1: x",
+            "MC003 flow 1: y",
+            "MC005 flow 9: z",
+            "MC005 flow 10: b",
+        ];
+        assert_eq!(order, expect, "promoted warnings sort among the errors");
     }
 
     #[test]

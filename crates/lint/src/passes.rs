@@ -331,8 +331,13 @@ fn weight_sanity(input: &LintInput<'_>, diags: &mut Diagnostics) {
             );
         }
     }
+    // TOP's vertex weight is a node's summed incident bandwidth, so the
+    // partitioner's total is about twice the link sum (+1 per node floor).
+    let mut top_weight = input.net.node_count() as f64;
     for (i, l) in input.net.links().iter().enumerate() {
-        if !l.bandwidth_mbps.is_finite() {
+        if l.bandwidth_mbps.is_finite() {
+            top_weight += 2.0 * l.bandwidth_mbps.max(0.0);
+        } else {
             diags.push(
                 Code::Mc006,
                 Severity::Error,
@@ -347,6 +352,17 @@ fn weight_sanity(input: &LintInput<'_>, diags: &mut Diagnostics) {
                 ),
             );
         }
+    }
+    if top_weight > (1u64 << 60) as f64 {
+        diags.push(
+            Code::Mc006,
+            Severity::Error,
+            Location::Network,
+            format!(
+                "summed TOP vertex weight {top_weight:.3e} (incident link bandwidth, Mbps) \
+                 exceeds the i64 headroom 2^60; the partitioner's weight sums would wrap"
+            ),
+        );
     }
     if total_mbps * MBPS_SCALE > (1u64 << 60) as f64 {
         diags.push(

@@ -9,25 +9,14 @@
 //! two runs over the same scenario produce byte-identical output at any
 //! thread count, which the golden-file tests pin down.
 
-use crate::{Diagnostics, Severity};
-
-/// Schema version stamped into the JSON output; bump on layout changes.
-pub const JSON_FORMAT_VERSION: u32 = 1;
+use crate::Diagnostics;
+use massf_metrics::report::{diagnostics_json, finding_lines, quote};
 
 /// Renders the compiler-style human report: one `severity[CODE]
 /// location: message` line per finding, suppression notices, and the
 /// summary line.
 pub fn human(diags: &Diagnostics) -> String {
-    let mut out = String::new();
-    for d in diags.iter() {
-        out.push_str(&format!(
-            "{}[{}] {}: {}\n",
-            d.severity.label(),
-            d.code.as_str(),
-            d.location.render(),
-            d.message
-        ));
-    }
+    let mut out = finding_lines(&diags.diags);
     for (code, n) in diags.suppressed() {
         out.push_str(&format!(
             "note: {n} additional {} finding(s) suppressed\n",
@@ -39,97 +28,30 @@ pub fn human(diags: &Diagnostics) -> String {
     out
 }
 
-/// Renders the deterministic JSON report.
+/// Renders the deterministic JSON report: the shared diagnostics head,
+/// then the per-code suppression counts.
 pub fn json(diags: &Diagnostics) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"tool\": \"massf-check\",\n");
-    out.push_str(&format!("  \"format\": {JSON_FORMAT_VERSION},\n"));
-    out.push_str("  \"summary\": {\n");
-    out.push_str(&format!(
-        "    \"errors\": {},\n",
-        diags.count(Severity::Error)
-    ));
-    out.push_str(&format!(
-        "    \"warnings\": {},\n",
-        diags.count(Severity::Warn)
-    ));
-    out.push_str(&format!(
-        "    \"notes\": {},\n",
-        diags.count(Severity::Note)
-    ));
-    out.push_str(&format!("    \"passes_run\": {}\n", diags.passes_run()));
-    out.push_str("  },\n");
-
-    out.push_str("  \"diagnostics\": [");
-    let mut first = true;
-    for d in diags.iter() {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str("\n    {\n");
-        out.push_str(&format!("      \"code\": {},\n", quote(d.code.as_str())));
-        out.push_str(&format!(
-            "      \"severity\": {},\n",
-            quote(d.severity.label())
-        ));
-        out.push_str(&format!(
-            "      \"location\": {},\n",
-            quote(&d.location.render())
-        ));
-        out.push_str(&format!("      \"message\": {}\n", quote(&d.message)));
-        out.push_str("    }");
-    }
-    if !first {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n");
-
+    let mut out = diagnostics_json("massf-check", &diags.diags, &[], diags.passes_run);
     out.push_str("  \"suppressed\": [");
-    let mut first = true;
-    for (code, n) in diags.suppressed() {
-        if !first {
-            out.push(',');
-        }
-        first = false;
+    for (i, (code, n)) in diags.suppressed().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
         out.push_str(&format!(
-            "\n    {{ \"code\": {}, \"count\": {n} }}",
+            "    {{ \"code\": {}, \"count\": {n} }}",
             quote(code.as_str())
         ));
     }
-    if !first {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n");
-    out.push_str("}\n");
-    out
-}
-
-/// JSON string literal with full escaping (quotes, backslashes, control
-/// characters as `\u00XX`).
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    out.push_str(if diags.suppressed.is_empty() {
+        "]\n}\n"
+    } else {
+        "\n  ]\n}\n"
+    });
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Code, Location};
+    use crate::{Code, Location, Severity};
 
     fn sample() -> Diagnostics {
         let mut d = Diagnostics::new();
@@ -181,12 +103,6 @@ mod tests {
             human(&d),
             "check: 0 error(s), 0 warning(s), 0 note(s) — 0 passes run\n"
         );
-    }
-
-    #[test]
-    fn quoting_escapes_specials() {
-        assert_eq!(quote("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
-        assert_eq!(quote("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

@@ -1,33 +1,18 @@
 //! Minimal, std-only JSON support for the run report.
 //!
-//! The writer side is a pair of string helpers ([`quote`], [`fmt_f64`])
-//! mirroring the lint renderer's conventions — reports are emitted by
-//! hand-formatting so key order and whitespace are fully under our
-//! control (byte determinism). The reader side is a small
+//! The writer side is a pair of string helpers: [`quote`], the
+//! workspace's one JSON string writer (re-exported from
+//! `massf_metrics::report`, which the lint renderers share), and
+//! [`fmt_f64`], the run report's fixed six-decimal number format. Reports
+//! are emitted by hand-formatting so key order and whitespace are fully
+//! under our control (byte determinism). The reader side is a small
 //! recursive-descent parser producing a [`Value`] tree, enough for
 //! `massf report` to load what the writer produced (and to reject
 //! hand-mangled files with a positioned error).
 
 use std::fmt;
 
-/// Escapes `s` per JSON string rules and wraps it in double quotes.
-pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+pub use massf_metrics::report::quote;
 
 /// Formats an `f64` with a fixed six-decimal notation so identical values
 /// always serialize to identical bytes (no shortest-round-trip wobble).
@@ -325,12 +310,6 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quote_escapes() {
-        assert_eq!(quote("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(quote("\u{1}"), "\"\\u0001\"");
-    }
 
     #[test]
     fn fmt_f64_is_fixed_width() {

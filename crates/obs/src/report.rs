@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 
 use crate::json::{self, fmt_f64, quote, Value};
 use crate::{PhaseInfo, ProfileTelemetry, Recorder, RestartBatch, RestartOutcome, Span};
+use massf_metrics::report::{count_phrase, finding_line};
 use massf_metrics::timeseries::{
     imbalance_series, mean_active_imbalance, sparkline, sparkline_f64,
 };
@@ -923,15 +924,11 @@ impl RunReport {
 
         if let Some(l) = &self.lint {
             out.push_str("\nlint audit\n");
-            out.push_str(&format!(
-                "  {} error(s), {} warning(s), {} note(s) — {} passes run\n",
-                l.errors, l.warnings, l.notes, l.passes_run
-            ));
+            let counts = count_phrase(l.errors as usize, l.warnings as usize, l.notes as usize);
+            out.push_str(&format!("  {counts} — {} passes run\n", l.passes_run));
             for f in &l.findings {
-                out.push_str(&format!(
-                    "  {}[{}] {}: {}\n",
-                    f.severity, f.code, f.location, f.message
-                ));
+                let line = finding_line(&f.severity, &f.code, &f.location, &f.message);
+                out.push_str(&format!("  {line}\n"));
             }
         }
 

@@ -275,7 +275,9 @@ pub fn infeasible_constraints(
         let mut max: Weight = 0;
         for v in 0..g.nvtxs() {
             let w = g.vwgt()[v * ncon + c];
-            total += w;
+            // Saturating: MC006 refuses weights this large, and this check
+            // runs beside it, so it must not overflow first.
+            total = total.saturating_add(w);
             max = max.max(w);
         }
         let capacity = ubfactor * total as f64 / nparts as f64;
@@ -313,7 +315,7 @@ pub fn infeasible_target_constraints(
         let mut max: Weight = 0;
         for v in 0..g.nvtxs() {
             let w = g.vwgt()[v * ncon + c];
-            total += w;
+            total = total.saturating_add(w);
             max = max.max(w);
         }
         let capacity = ubfactor * max_fraction * total as f64;

@@ -14,10 +14,11 @@
 //! every allow matches at least one real finding (a stale allow is itself
 //! an Error, code SA000), so suppressions cannot rot.
 //!
-//! The crate is std-only and dependency-free on purpose: the linter must
-//! stay buildable and trustworthy even when the rest of the workspace is
-//! mid-refactor, and its scan results must never depend on anything but
-//! the bytes of the files it reads.
+//! The crate is std-only and depends only on `massf-metrics` (the shared
+//! severity model and report writer, itself dependency-free): the linter
+//! must stay buildable and trustworthy even when the rest of the workspace
+//! is mid-refactor, and its scan results must never depend on anything
+//! but the bytes of the files it reads.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -32,27 +33,9 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Diagnostic severity, ordered `Note < Warn < Error`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Severity {
-    /// Informational; never fails a scan.
-    Note,
-    /// Suspicious; fails only under `--deny-warnings`.
-    Warn,
-    /// Determinism hazard; always fails the scan.
-    Error,
-}
-
-impl Severity {
-    /// Lower-case label used in both renderers.
-    pub fn label(self) -> &'static str {
-        match self {
-            Severity::Note => "note",
-            Severity::Warn => "warning",
-            Severity::Error => "error",
-        }
-    }
-}
+/// Diagnostic severity, ordered `Note < Warn < Error`: the same type as
+/// `massf_lint::Severity`.
+pub use massf_metrics::report::Severity;
 
 /// Stable source-analysis pass codes. Append-only: codes are never
 /// renumbered or reused, mirroring the MC* catalog in `massf-lint`.
@@ -174,6 +157,21 @@ pub struct Finding {
     pub line: usize,
     /// Human-readable description of the specific site.
     pub message: String,
+}
+
+impl massf_metrics::report::Finding for Finding {
+    fn severity(&self) -> Severity {
+        self.severity
+    }
+    fn code(&self) -> &'static str {
+        self.code.as_str()
+    }
+    fn location(&self) -> String {
+        format!("{}:{}", self.path, self.line)
+    }
+    fn message(&self) -> &str {
+        &self.message
+    }
 }
 
 impl Finding {
@@ -396,6 +394,36 @@ mod tests {
         r.deny_warnings();
         assert!(r.has_errors());
         assert_eq!(r.count(Severity::Warn), 0);
+    }
+
+    #[test]
+    fn deny_warnings_leaves_a_finished_report() {
+        let mut r = Report {
+            findings: vec![
+                Finding::new(SaCode::Sa002, "a.rs", 10, "e".into()),
+                Finding::new(SaCode::Sa006, "a.rs", 1, "e".into()),
+                Finding::new(SaCode::Sa004, "a.rs", 9, "y".into()),
+                Finding::new(SaCode::Sa004, "a.rs", 9, "x".into()),
+                Finding::new(SaCode::Sa002, "a.rs", 9, "e".into()),
+            ],
+            allows: vec![],
+            files_scanned: 1,
+        };
+        r.finish();
+        r.deny_warnings();
+        let order: Vec<String> = r
+            .findings
+            .iter()
+            .map(|f| format!("{} {}:{} {}", f.code, f.path, f.line, f.message))
+            .collect();
+        let expect = [
+            "SA002 a.rs:9 e",
+            "SA002 a.rs:10 e",
+            "SA004 a.rs:9 x",
+            "SA004 a.rs:9 y",
+            "SA006 a.rs:1 e",
+        ];
+        assert_eq!(order, expect, "promoted warnings sort among the errors");
     }
 
     #[test]

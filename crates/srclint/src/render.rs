@@ -1,133 +1,62 @@
 //! Report renderers: human text and byte-deterministic JSON.
 //!
-//! Both formats mirror `massf-lint`'s check renderers so tooling that
-//! already consumes `massf check` output can consume `massf srclint`
-//! output with only the `tool` field changing. The JSON is hand-written
-//! with a fixed key order and a fixed escape set, so repeated runs over
-//! the same tree are byte-identical.
+//! Both formats share `massf-lint`'s finding line, count phrase and JSON
+//! head (`massf_metrics::report`), so tooling that already consumes
+//! `massf check` output can consume `massf srclint` output with only the
+//! `tool` field and the `files_scanned` summary key changing. Repeated
+//! runs over the same tree are byte-identical.
 
 use crate::{Report, Severity};
+use massf_metrics::report::{count_phrase, diagnostics_json, finding_lines, quote};
 
 /// Renders the human-readable report. Call [`Report::finish`] first.
 pub fn render_human(report: &Report) -> String {
-    let mut out = String::new();
-    for f in &report.findings {
-        out.push_str(&format!(
-            "{}[{}] {}:{}: {}\n",
-            f.severity.label(),
-            f.code,
-            f.path,
-            f.line,
-            f.message
-        ));
-    }
+    let mut out = finding_lines(&report.findings);
     for a in &report.allows {
         out.push_str(&format!(
             "allow[{}] {}: {} acknowledged site(s)\n",
             a.code, a.path, a.count
         ));
     }
-    out.push_str(&format!(
-        "srclint: {} error(s), {} warning(s), {} note(s) \u{2014} {} file(s) scanned, {} passes run\n",
+    let counts = count_phrase(
         report.count(Severity::Error),
         report.count(Severity::Warn),
         report.count(Severity::Note),
+    );
+    out.push_str(&format!(
+        "srclint: {counts} \u{2014} {} file(s) scanned, {} passes run\n",
         report.files_scanned,
         Report::PASSES_RUN
     ));
     out
 }
 
-/// Renders the byte-deterministic JSON report. Call [`Report::finish`]
-/// first. Key order, spacing, and escapes are fixed; two runs over the
-/// same tree produce identical bytes.
+/// Renders the byte-deterministic JSON report: the shared diagnostics
+/// head (plus `files_scanned`), then the acknowledged sites. Call
+/// [`Report::finish`] first.
 pub fn render_json(report: &Report) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"tool\": \"massf-srclint\",\n");
-    out.push_str("  \"format\": 1,\n");
-    out.push_str("  \"summary\": {\n");
-    out.push_str(&format!(
-        "    \"errors\": {},\n",
-        report.count(Severity::Error)
-    ));
-    out.push_str(&format!(
-        "    \"warnings\": {},\n",
-        report.count(Severity::Warn)
-    ));
-    out.push_str(&format!(
-        "    \"notes\": {},\n",
-        report.count(Severity::Note)
-    ));
-    out.push_str(&format!(
-        "    \"files_scanned\": {},\n",
-        report.files_scanned
-    ));
-    out.push_str(&format!("    \"passes_run\": {}\n", Report::PASSES_RUN));
-    out.push_str("  },\n");
-
-    out.push_str("  \"diagnostics\": [");
-    for (i, f) in report.findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {\n");
-        out.push_str(&format!("      \"code\": {},\n", quote(f.code.as_str())));
-        out.push_str(&format!(
-            "      \"severity\": {},\n",
-            quote(f.severity.label())
-        ));
-        out.push_str(&format!(
-            "      \"location\": {},\n",
-            quote(&format!("{}:{}", f.path, f.line))
-        ));
-        out.push_str(&format!("      \"message\": {}\n", quote(&f.message)));
-        out.push_str("    }");
-    }
-    if report.findings.is_empty() {
-        out.push_str("],\n");
-    } else {
-        out.push_str("\n  ],\n");
-    }
-
+    let extra = [("files_scanned", report.files_scanned)];
+    let mut out = diagnostics_json(
+        "massf-srclint",
+        &report.findings,
+        &extra,
+        Report::PASSES_RUN,
+    );
     out.push_str("  \"allows\": [");
     for (i, a) in report.allows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {\n");
-        out.push_str(&format!("      \"code\": {},\n", quote(a.code.as_str())));
-        out.push_str(&format!("      \"path\": {},\n", quote(&a.path)));
-        out.push_str(&format!("      \"count\": {}\n", a.count));
-        out.push_str("    }");
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        out.push_str(&format!(
+            "    {{\n      \"code\": {},\n      \"path\": {},\n      \"count\": {}\n    }}",
+            quote(a.code.as_str()),
+            quote(&a.path),
+            a.count
+        ));
     }
-    if report.allows.is_empty() {
-        out.push_str("]\n");
+    out.push_str(if report.allows.is_empty() {
+        "]\n}\n"
     } else {
-        out.push_str("\n  ]\n");
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// JSON string quoting with the same escape set as massf-lint's renderer.
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+        "\n  ]\n}\n"
+    });
     out
 }
 
@@ -179,11 +108,5 @@ mod tests {
             h,
             "srclint: 0 error(s), 0 warning(s), 0 note(s) \u{2014} 0 file(s) scanned, 8 passes run\n"
         );
-    }
-
-    #[test]
-    fn quote_escapes() {
-        assert_eq!(quote("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(quote("\u{1}"), "\"\\u0001\"");
     }
 }

@@ -24,6 +24,7 @@
 
 use massf_core::engine::engine::lookahead_us;
 use massf_core::engine::probe;
+use massf_core::metrics::report::quote;
 use massf_core::obs::report::{
     EmulationInfo, EngineLoad, EpochRow, LintFinding, LintSummary, PartitionInfo, RebalanceInfo,
     ScenarioInfo,
@@ -253,18 +254,11 @@ fn preflight(
     input.predicted = predicted;
     input.flows = flows;
     input.traffic = traffic;
-    let mut diags = massf_lint::lint_scenario(&input);
-    if deny_warnings {
-        diags.deny_warnings();
-        diags.finish();
-    }
-    if diags.has_errors() {
-        return Err(err(format!(
-            "preflight check failed\n{}",
-            render::human(&diags)
-        )));
-    }
-    Ok(())
+    gate(
+        "preflight check",
+        &mut massf_lint::lint_scenario(&input),
+        deny_warnings,
+    )
 }
 
 fn cmd_check(args: &[String]) -> Result<String, CliError> {
@@ -283,11 +277,7 @@ fn cmd_check(args: &[String]) -> Result<String, CliError> {
         ],
         &["--deny-warnings", "--audit", "--partition", "--list-passes"],
     )?;
-    let json = match flag(args, "--format").unwrap_or("human") {
-        "human" => false,
-        "json" => true,
-        other => return Err(err(format!("unknown format {other:?} (human|json)"))),
-    };
+    let json = json_format_flag(args)?;
     if args.iter().any(|a| a == "--list-passes") {
         return Ok(list_passes(json));
     }
@@ -398,20 +388,7 @@ fn cmd_check(args: &[String]) -> Result<String, CliError> {
         diags.merge(massf_lint::lint_artifacts(&artifact));
         diags.finish();
     }
-    if deny {
-        diags.deny_warnings();
-        diags.finish();
-    }
-    let report = if json {
-        render::json(&diags)
-    } else {
-        render::human(&diags)
-    };
-    if diags.has_errors() {
-        Err(CliError(report))
-    } else {
-        Ok(report)
-    }
+    check_outcome(diags, json, deny)
 }
 
 /// The trace half of `massf check`: MC016 over the file text, plus the
@@ -422,20 +399,41 @@ fn check_trace(text: &str, args: &[String], json: bool, deny: bool) -> Result<St
         Some(p) => Some(load_network(p)?),
         None => None,
     };
-    let mut audit = massf_core::audit::audit_trace(text, net.as_ref());
+    let audit = massf_core::audit::audit_trace(text, net.as_ref());
+    check_outcome(audit.diags, json, deny)
+}
+
+/// The `massf check` contract: applies `--deny-warnings`, renders the
+/// finished report, and returns it — as the error when any Error-level
+/// finding remains.
+fn check_outcome(mut diags: Diagnostics, json: bool, deny: bool) -> Result<String, CliError> {
     if deny {
-        audit.diags.deny_warnings();
-        audit.diags.finish();
+        diags.deny_warnings();
     }
     let report = if json {
-        render::json(&audit.diags)
+        render::json(&diags)
     } else {
-        render::human(&audit.diags)
+        render::human(&diags)
     };
-    if audit.diags.has_errors() {
+    outcome(report, diags.has_errors())
+}
+
+/// A rendered lint report as the command result: the error when the
+/// report has Error-level findings.
+fn outcome(report: String, has_errors: bool) -> Result<String, CliError> {
+    if has_errors {
         Err(CliError(report))
     } else {
         Ok(report)
+    }
+}
+
+/// Parses `--format human|json`; `true` for JSON.
+fn json_format_flag(args: &[String]) -> Result<bool, CliError> {
+    match flag(args, "--format").unwrap_or("human") {
+        "human" => Ok(false),
+        "json" => Ok(true),
+        other => Err(err(format!("unknown format {other:?} (human|json)"))),
     }
 }
 
@@ -475,11 +473,11 @@ fn list_passes(json: bool) -> String {
             out.push_str(&format!(
                 "\n    {{\n      \"code\": {},\n      \"family\": {},\n      \
                  \"severity\": {},\n      \"name\": {},\n      \"summary\": {}\n    }}",
-                json_str(code),
-                json_str(family),
-                json_str(sev),
-                json_str(name),
-                json_str(summary)
+                quote(code),
+                quote(family),
+                quote(sev),
+                quote(name),
+                quote(summary)
             ));
         }
         out.push_str("\n  ]\n}\n");
@@ -500,26 +498,6 @@ fn list_passes(json: bool) -> String {
     }
 }
 
-/// Minimal JSON string quoting for the catalog renderer (static strings;
-/// the full escape set still applied for safety).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// `massf srclint [<dir>] [--format human|json] [--deny-warnings]` — the
 /// source-level determinism lint (stable codes SA000..SA007) over the
 /// workspace rooted at `<dir>` (default: the current directory). Mirrors
@@ -528,11 +506,7 @@ fn json_str(s: &str) -> String {
 /// `--deny-warnings`) survives the allow annotations.
 fn cmd_srclint(args: &[String]) -> Result<String, CliError> {
     validate_flags("srclint", args, &["--format"], &["--deny-warnings"])?;
-    let json = match flag(args, "--format").unwrap_or("human") {
-        "human" => false,
-        "json" => true,
-        other => return Err(err(format!("unknown format {other:?} (human|json)"))),
-    };
+    let json = json_format_flag(args)?;
     let deny = args.iter().any(|a| a == "--deny-warnings");
     // Positional root, skipping flag values.
     let mut positionals = Vec::new();
@@ -566,26 +540,19 @@ fn cmd_srclint(args: &[String]) -> Result<String, CliError> {
     } else {
         massf_srclint::render::render_human(&report)
     };
-    if report.has_errors() {
-        Err(CliError(text))
-    } else {
-        Ok(text)
-    }
+    outcome(text, report.has_errors())
 }
 
-/// Applies `--deny-warnings` to a post-pipeline artifact audit and
-/// refuses — with the human-rendered report — past any Error-level
-/// finding, mirroring the preflight contract.
-fn audit_gate(diags: &mut Diagnostics, deny_warnings: bool) -> Result<(), CliError> {
+/// Applies `--deny-warnings` to a finished lint report and refuses —
+/// with "`what` failed" and the human-rendered report — past any
+/// Error-level finding. Preflight, trace check and artifact audit all
+/// gate a pipeline stage this way.
+fn gate(what: &str, diags: &mut Diagnostics, deny_warnings: bool) -> Result<(), CliError> {
     if deny_warnings {
         diags.deny_warnings();
-        diags.finish();
     }
     if diags.has_errors() {
-        return Err(err(format!(
-            "artifact audit failed\n{}",
-            render::human(diags)
-        )));
+        return Err(err(format!("{what} failed\n{}", render::human(diags))));
     }
     Ok(())
 }
@@ -751,7 +718,7 @@ fn cmd_partition(args: &[String]) -> Result<String, CliError> {
             .with_ubfactor(cfg.ubfactor)
             .with_partition(&partition),
     );
-    audit_gate(&mut audit, deny)?;
+    gate("artifact audit", &mut audit, deny)?;
     let mut out = String::new();
     for n in net.nodes() {
         out.push_str(&format!("{}\t{}\n", n.name, partition.part[n.id as usize]));
@@ -1029,7 +996,7 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
         let span = rec.start();
         let mut audit = massf_core::audit::audit_study(&study, &partition);
         rec.finish("cli/audit", span);
-        audit_gate(&mut audit, deny)?;
+        gate("artifact audit", &mut audit, deny)?;
         let span = rec.start();
         let report = if replay {
             study.replay(&partition, &flows)
@@ -1039,7 +1006,7 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
         rec.finish("engine/emulate", span);
         (report, None, audit, partition.clone())
     };
-    audit_gate(&mut audit, deny)?;
+    gate("artifact audit", &mut audit, deny)?;
     record_lazy_run_stats(&mut rec, &study, &final_partition.part);
 
     let mut out = String::new();
@@ -1150,7 +1117,7 @@ fn cmd_record(args: &[String]) -> Result<String, CliError> {
     // Audit the exact bytes headed for disk — what `replay` and
     // `massf check` will read back — and refuse to write a broken trace.
     let mut audit = massf_core::audit::audit_trace(&text, Some(&net)).diags;
-    audit_gate(&mut audit, deny)?;
+    gate("artifact audit", &mut audit, deny)?;
     std::fs::write(out_path, &text).map_err(|e| err(format!("cannot write {out_path}: {e}")))?;
     if let Some(report_path) = flag(args, "--report") {
         // No mapping and no emulation happen here, so the report carries
@@ -1211,16 +1178,7 @@ fn cmd_replay(args: &[String]) -> Result<String, CliError> {
     let trace_audit = massf_core::audit::audit_trace(&trace_text, Some(&net));
     rec.finish("cli/trace_audit", span);
     let mut trace_diags = trace_audit.diags;
-    if deny {
-        trace_diags.deny_warnings();
-        trace_diags.finish();
-    }
-    if trace_diags.has_errors() {
-        return Err(err(format!(
-            "trace check failed\n{}",
-            render::human(&trace_diags)
-        )));
-    }
+    gate("trace check", &mut trace_diags, deny)?;
     let flows = trace_audit
         .trace
         .expect("an error-free trace audit implies the trace parsed")
@@ -1259,7 +1217,7 @@ fn cmd_replay(args: &[String]) -> Result<String, CliError> {
     let mut audit = massf_core::audit::audit_study(&study, &partition);
     audit.merge(trace_diags);
     audit.finish();
-    audit_gate(&mut audit, deny)?;
+    gate("artifact audit", &mut audit, deny)?;
     let span = rec.start();
     let report = study.replay(&partition, &flows);
     rec.finish("engine/emulate", span);

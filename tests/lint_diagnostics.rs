@@ -102,6 +102,29 @@ fn run_refuses_broken_scenario() {
 }
 
 #[test]
+fn unquantizable_bandwidth_is_refused_not_a_panic() {
+    let net = "tests/fixtures/huge_bandwidth.dml";
+    let e = cli::run(&args(&["check", net, "--engines", "3"])).expect_err("check must fail");
+    assert!(e.0.contains("error[MC006] network"), "{}", e.0);
+    let e = cli::run(&args(&[
+        "run",
+        net,
+        "--engines",
+        "3",
+        "--traffic",
+        "examples/scenarios/cbr.txt",
+        "--duration-s",
+        "1",
+    ]))
+    .expect_err("run must refuse at preflight instead of panicking");
+    assert!(
+        e.0.contains("preflight check failed") && e.0.contains("MC006"),
+        "{}",
+        e.0
+    );
+}
+
+#[test]
 fn replay_refuses_broken_scenario() {
     // Record a trace on a healthy network, then replay it against the
     // broken one: the trace check (which validates the trace against the
