@@ -9,8 +9,8 @@
 //!   rebalancer's skip trigger);
 //! * [`timeseries`] — fine-grained per-interval imbalance series
 //!   (Figures 2 and 8);
-//! * [`report`] — table/figure text rendering and JSON export for the
-//!   benchmark harness.
+//! * [`report`] — the one JSON string writer, the diagnostics core both
+//!   lint layers share, and table/figure rendering and JSON export.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
