@@ -3,7 +3,6 @@
 use massf_graph::{CsrGraph, VertexId, Weight};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::collections::BTreeMap;
 
 /// One coarsening level: the coarse graph plus the projection map.
 #[derive(Debug, Clone)]
@@ -80,28 +79,21 @@ pub fn heavy_edge_matching<R: Rng>(g: &CsrGraph, rng: &mut R) -> CoarseLevel {
         }
     }
 
-    // Coarse edges: accumulate into per-source maps. BTreeMap so the
-    // add_edge order below is the neighbor order, not a hasher's — the
-    // built CSR is then identical across runs (srclint SA001).
-    let mut maps: Vec<BTreeMap<VertexId, Weight>> = vec![BTreeMap::new(); cn];
+    // Coarse edges: each fine edge crossing two coarse vertices, once (from
+    // its lower coarse endpoint). `build` sorts and sums parallel edges, so
+    // the CSR is the same whatever order they arrive in.
+    let mut b = massf_graph::GraphBuilder::with_capacity(ncon, cn, g.nedges());
+    for cv in 0..cn {
+        b.add_vertex(&vwgt[cv * ncon..(cv + 1) * ncon]);
+    }
     for v in 0..n as VertexId {
         let cv = coarse_of[v as usize];
         for (u, w) in g.edges(v) {
             let cu = coarse_of[u as usize];
             if cv < cu {
-                *maps[cv as usize].entry(cu).or_insert(0) += w;
+                b.add_edge(cv, cu, w)
+                    .expect("coarse edge valid by construction");
             }
-        }
-    }
-
-    let mut b = massf_graph::GraphBuilder::with_capacity(ncon, cn, g.nedges());
-    for cv in 0..cn {
-        b.add_vertex(&vwgt[cv * ncon..(cv + 1) * ncon]);
-    }
-    for (cv, map) in maps.into_iter().enumerate() {
-        for (cu, w) in map {
-            b.add_edge(cv as VertexId, cu, w)
-                .expect("coarse edge valid by construction");
         }
     }
     CoarseLevel {
@@ -111,18 +103,20 @@ pub fn heavy_edge_matching<R: Rng>(g: &CsrGraph, rng: &mut R) -> CoarseLevel {
 }
 
 /// Coarsens repeatedly until the graph has at most `target` vertices or the
-/// reduction per level stalls (< 10 % shrink). Returns the levels finest →
+/// reduction per level stalls (under 5 % shrink). Returns the levels finest →
 /// coarsest; empty when `g` is already small enough.
 pub fn coarsen_to<R: Rng>(g: &CsrGraph, target: usize, rng: &mut R) -> Vec<CoarseLevel> {
     let mut levels: Vec<CoarseLevel> = Vec::new();
-    let mut current = g.clone();
-    while current.nvtxs() > target {
-        let level = heavy_edge_matching(&current, rng);
+    loop {
+        let current = levels.last().map_or(g, |l| &l.graph);
+        if current.nvtxs() <= target {
+            break;
+        }
+        let level = heavy_edge_matching(current, rng);
         let shrink = level.graph.nvtxs() as f64 / current.nvtxs() as f64;
         if shrink > 0.95 {
             break; // mostly isolated vertices or a clique of matched pairs; stop
         }
-        current = level.graph.clone();
         levels.push(level);
     }
     levels
