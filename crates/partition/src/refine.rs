@@ -294,7 +294,7 @@ pub fn rebalance<R: Rng>(g: &CsrGraph, part: &mut [u32], spec: &BalanceSpec, rng
         let mut worst: Option<(f64, usize, usize)> = None;
         for p in 0..nparts {
             for c in 0..bal.ncon {
-                let r = bal.weight(p, c) as f64 / bal.max_allowed[c] as f64;
+                let r = bal.weight(p, c) as f64 / bal.cap(p, c) as f64;
                 if r > 1.0 && worst.is_none_or(|(wr, _, _)| r > wr) {
                     worst = Some((r, p, c));
                 }
@@ -445,6 +445,24 @@ mod tests {
             "rebalance should improve: {before} -> {after}"
         );
         assert!(after <= 1.26, "after = {after}, part = {part:?}");
+    }
+
+    #[test]
+    fn rebalance_leaves_feasible_heterogeneous_targets_alone() {
+        // A 10-vertex path with targets 1:4 at ub 1.1: caps are 3 and 9.
+        // Weights 2 and 8 are both under their own cap, though part 1 is
+        // far over part 0's.
+        let mut b = GraphBuilder::new(1);
+        b.add_unit_vertices(10);
+        for i in 0..9u32 {
+            b.add_edge(i, i + 1, 1).unwrap();
+        }
+        let g = b.build().unwrap();
+        let start = vec![0, 0, 1, 1, 1, 1, 1, 1, 1, 1];
+        let mut part = start.clone();
+        let spec = BalanceSpec::proportional(&[1.0, 4.0], vec![1.1]);
+        assert_eq!(rebalance(&g, &mut part, &spec, &mut rng()), 0);
+        assert_eq!(part, start);
     }
 
     #[test]
