@@ -1,12 +1,15 @@
 //! Criterion benches for the multilevel partitioner: scaling with graph
-//! size, multi-constraint overhead, the §2.3 multi-objective pipeline, and
-//! the related-work baselines.
+//! size, a host-heavy BRITE graph that barely coarsens, multi-constraint
+//! overhead, the §2.3 multi-objective pipeline, and the related-work
+//! baselines.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use massf_core::graph::{CsrGraph, GraphBuilder, VertexId};
+use massf_core::mapping::weights::latency_graph;
 use massf_core::partition::baselines::{bfs_contiguous, greedy_k_cluster, random_partition};
 use massf_core::partition::multiobjective::combine_and_partition;
 use massf_core::prelude::*;
+use massf_core::topology::brite::{self, BriteConfig};
 use rand::SeedableRng;
 use std::hint::black_box;
 
@@ -45,6 +48,21 @@ fn bench_scaling(c: &mut Criterion) {
             b.iter(|| black_box(partition_kway(g, &cfg)));
         });
     }
+    group.finish();
+}
+
+fn bench_host_heavy(c: &mut Criterion) {
+    // TOP's latency graph of the 20,400-node BRITE network: 400 routers,
+    // each with about 50 leaf hosts. Heavy-edge matching pairs a router
+    // with one leaf at most, so coarsening stops at the finest level and
+    // initial partitioning runs on the whole graph, unlike on the grids.
+    let g = latency_graph(&brite::generate(&BriteConfig::million_host(0.02)));
+    let mut group = c.benchmark_group("partition/kway-host-heavy");
+    group.sample_size(10);
+    group.bench_with_input(BenchmarkId::from_parameter(g.nvtxs()), &g, |b, g| {
+        let cfg = PartitionConfig::new(16);
+        b.iter(|| black_box(partition_kway(g, &cfg)));
+    });
     group.finish();
 }
 
@@ -106,6 +124,7 @@ fn bench_baselines(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_scaling,
+    bench_host_heavy,
     bench_restart_threads,
     bench_multiconstraint,
     bench_multiobjective,
